@@ -8,8 +8,9 @@
 // measurement window plus drain (steady_s) with the profiler off. --trace 1
 // alternates an untraced round with a DIGS_PROF round of the same trials,
 // requires their outputs to be bit-identical, and reports the per-layer
-// breakdown. Every trial's outputs are checked (checks.h); the last stdout
-// line is the JSON result.
+// breakdown; on city_serial it also runs the trial once through the sharded
+// slot pipeline. Every trial's outputs are checked (checks.h); the last
+// stdout line is the JSON result.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -40,11 +41,26 @@ double since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Contention from other processes on the host only ever adds time, and on a
-// shared host it swings a round's wall-clock by tens of percent, so a run
-// reports its fastest round: the least of the repeated, deterministic work.
 double least(const std::vector<double>& v) {
   return *std::min_element(v.begin(), v.end());
+}
+
+// Contention from other processes on the host only ever adds time, and on a
+// shared host it comes in bursts of seconds that swing a round's wall-clock
+// by tens of percent. Every round runs the same deterministic work, cut by
+// the timestamp probes into the same segments, so a phase is reported as the
+// sum over its segments of each segment's fastest round: a burst then costs
+// only the segments it overlapped in every round.
+double sum_of_fastest(const std::vector<std::vector<double>>& rounds) {
+  double total = 0.0;
+  for (std::size_t seg = 0; seg < rounds.front().size(); ++seg) {
+    double best = rounds.front()[seg];
+    for (const std::vector<double>& round : rounds) {
+      best = std::min(best, round[seg]);
+    }
+    total += best;
+  }
+  return total;
 }
 
 struct Args {
@@ -99,6 +115,9 @@ struct RoundResult {
   double setup_s{0};
   double formation_s{0};
   double steady_s{0};
+  /// Every trial's segments, concatenated in trial order.
+  std::vector<double> formation_segments;
+  std::vector<double> steady_segments;
   std::vector<std::uint64_t> digests;
   std::size_t failed{0};
   [[nodiscard]] double wall_s() const {
@@ -119,6 +138,12 @@ class Bench {
       rr.setup_s += run.setup_s;
       rr.formation_s += run.formation_s;
       rr.steady_s += run.steady_s;
+      rr.formation_segments.insert(rr.formation_segments.end(),
+                                   run.formation_segments.begin(),
+                                   run.formation_segments.end());
+      rr.steady_segments.insert(rr.steady_segments.end(),
+                                run.steady_segments.begin(),
+                                run.steady_segments.end());
       rr.digests.push_back(perfbench::digest(run.out));
       ++attempted_;
       const digs::ExperimentResult& r = run.out.result;
@@ -145,18 +170,24 @@ class Bench {
     return rr;
   }
 
-  // city_sharded: every trial's outputs must equal an untimed serial run
-  // of the same trial without the window-start probe.
-  void check_against_serial(const std::vector<Trial>& trials) {
+  // city_serial, traced: the trial run once through the sharded slot
+  // pipeline, without the probes, must equal the probed serial rounds. It
+  // returns the sharded run's per-layer breakdown.
+  Layers check_sharded(const std::vector<Trial>& trials) {
+    Layers layers;
     for (std::size_t i = 0; i < trials.size(); ++i) {
-      Trial serial = trials[i];
-      serial.config.shards = 1;
-      serial.config.shard_threads = 1;
-      const TrialRun run = perfbench::run_trial(serial, false, nullptr);
+      const Trial sharded = perfbench::sharded_copy(trials[i], 4);
+      const TrialRun run = perfbench::run_trial(sharded, false, &layers);
       if (perfbench::digest(run.out) != reference_digests_[i]) {
-        fail(trials[i].label + ": sharded outputs differ from serial");
+        fail(sharded.label + ": sharded outputs differ from serial");
       }
+      std::printf("trial %-34s traced   (sharded, no probes) outputs %s\n",
+                  sharded.label.c_str(),
+                  perfbench::digest(run.out) == reference_digests_[i]
+                      ? "equal serial"
+                      : "DIFFER from serial");
     }
+    return layers;
   }
 
   void fail(const std::string& what) {
@@ -195,8 +226,8 @@ int main(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: perfbench --workload city_serial|city_sharded|"
-                 "paper_churn --seed <n> --seconds <s> --trace 0|1\n");
+                 "usage: perfbench --workload city_serial|paper_churn "
+                 "--seed <n> --seconds <s> --trace 0|1\n");
     return 2;
   }
   const char* commit = std::getenv("PERFBENCH_COMMIT");
@@ -217,57 +248,76 @@ int main(int argc, char** argv) {
       perfbench::make_round(args.workload, args.seed);
   const double preamble_s = since(kProcessStart);
 
-  std::string metrics;
+  // Whole rounds until --seconds: a round (or a pair of rounds when traced)
+  // starts only if it should end in time by the previous one's length.
   const Clock::time_point measure_start = Clock::now();
+  double last_s = 0.0;
+  const auto another = [&](bool first) {
+    return first || since(measure_start) + last_s <= args.seconds;
+  };
+
+  std::string metrics;
   if (!args.trace) {
     std::vector<RoundResult> rounds;
-    do {
+    double first_round_rss_mb = 0.0;
+    for (bool first = true; another(first); first = false) {
+      const Clock::time_point t0 = Clock::now();
       rounds.push_back(bench.round(trials, nullptr));
-    } while (since(measure_start) < args.seconds);
-    if (args.workload == perfbench::Workload::kCitySharded) {
-      bench.check_against_serial(trials);
+      last_s = since(t0);
+      if (first) first_round_rss_mb = peak_rss_mb();
     }
-    std::vector<double> formation;
-    std::vector<double> steady;
+    std::vector<std::vector<double>> formation;
+    std::vector<std::vector<double>> steady;
     for (const RoundResult& rr : rounds) {
-      formation.push_back(rr.formation_s);
-      steady.push_back(rr.steady_s);
+      formation.push_back(rr.formation_segments);
+      steady.push_back(rr.steady_segments);
     }
     // One cold set-up per process: from process start through the first
     // round's world builds.
     print_metric(metrics, "setup_s", preamble_s + rounds.front().setup_s, "s");
-    print_metric(metrics, "formation_s", least(formation), "s");
-    print_metric(metrics, "steady_s", least(steady), "s");
-    print_metric(metrics, "peak_rss_mb", peak_rss_mb(), "MiB");
+    print_metric(metrics, "formation_s", sum_of_fastest(formation), "s");
+    print_metric(metrics, "steady_s", sum_of_fastest(steady), "s");
+    // Through the first round only: later rounds reuse the freed heap, and
+    // how many of them fit in the run depends on the host's speed.
+    print_metric(metrics, "peak_rss_mb", first_round_rss_mb, "MiB");
     std::printf("rounds: %zu\n", rounds.size());
   } else {
     std::vector<double> untraced_wall;
     std::vector<double> traced_wall;
     std::vector<Layers> traced;
-    do {
+    for (bool first = true; another(first); first = false) {
+      const Clock::time_point t0 = Clock::now();
       digs::prof::force_enabled(false);
       untraced_wall.push_back(bench.round(trials, nullptr).wall_s());
       digs::prof::force_enabled(true);
       Layers layers;
       traced_wall.push_back(bench.round(trials, &layers).wall_s());
       traced.push_back(std::move(layers));
-    } while (since(measure_start) < args.seconds);
-    digs::prof::force_enabled(false);
-    if (args.workload == perfbench::Workload::kCitySharded) {
-      bench.check_against_serial(trials);
+      last_s = since(t0);
     }
     // The breakdown of the fastest traced round; counts are the same in
     // every round.
     const std::size_t best = static_cast<std::size_t>(
         std::min_element(traced_wall.begin(), traced_wall.end()) -
         traced_wall.begin());
-    for (const auto& [name, value] : traced[best].seconds) {
+    Layers& layers = traced[best];
+    if (args.workload == perfbench::Workload::kCitySerial) {
+      // The shard phases come from the sharded run of the same trial.
+      const Layers sharded = bench.check_sharded(trials);
+      for (const char* name : {"phy.shard_resolve_s", "sim.barrier_wait_s",
+                               "sim.worker_idle_s"}) {
+        layers.seconds[name] = sharded.seconds.at(name);
+      }
+      layers.shard_imbalance = sharded.shard_imbalance;
+    }
+    digs::prof::force_enabled(false);
+    for (const auto& [name, value] : layers.seconds) {
       print_metric(metrics, name, value, "s");
     }
-    for (const auto& [name, value] : traced[best].counts) {
+    for (const auto& [name, value] : layers.counts) {
       print_metric(metrics, name, value, "count");
     }
-    print_metric(metrics, "sim.shard_imbalance", traced[best].shard_imbalance,
+    print_metric(metrics, "sim.shard_imbalance", layers.shard_imbalance,
                  "ratio");
     print_metric(metrics, "trace_overhead",
                  traced_wall[best] / least(untraced_wall), "ratio");

@@ -34,10 +34,22 @@ TrialRun run_trial(const Trial& trial, bool probe, Layers* layers) {
   const Clock::time_point built = Clock::now();
   digs::Network& net = runner.network();
   const digs::SimTime window_start = digs::SimTime{0} + trial.config.warmup;
-  Clock::time_point window_wall = built;
+  const digs::SimTime run_end = window_start + trial.config.duration +
+                                trial.config.stat_drain;
+  // Probe instants, strictly inside run(): every segment and the window
+  // start. Each probe only reads the wall clock.
+  std::vector<digs::SimTime> at;
   if (probe) {
-    net.sim().schedule_at(window_start,
-                          [&window_wall] { window_wall = Clock::now(); });
+    for (digs::SimTime t = digs::SimTime{0} + digs::seconds(kSegmentSeconds);
+         t < run_end; t = t + digs::seconds(kSegmentSeconds)) {
+      if (t != window_start) at.push_back(t);
+    }
+    at.push_back(window_start);
+    std::sort(at.begin(), at.end());
+  }
+  std::vector<Clock::time_point> stamps(at.size(), built);
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    net.sim().schedule_at(at[i], [&stamps, i] { stamps[i] = Clock::now(); });
   }
   std::size_t joined = 0;
   std::size_t looping = 0;
@@ -48,8 +60,22 @@ TrialRun run_trial(const Trial& trial, bool probe, Layers* layers) {
   digs::ExperimentResult result = runner.run();
   const Clock::time_point done = Clock::now();
   run.setup_s = seconds_between(t0, built);
-  run.formation_s = seconds_between(built, window_wall);
-  run.steady_s = seconds_between(window_wall, done);
+  Clock::time_point from = built;
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    const double span = seconds_between(from, stamps[i]);
+    if (at[i] <= window_start) {
+      run.formation_segments.push_back(span);
+      run.formation_s += span;
+    } else {
+      run.steady_segments.push_back(span);
+      run.steady_s += span;
+    }
+    from = stamps[i];
+  }
+  if (probe) {
+    run.steady_segments.push_back(seconds_between(from, done));
+    run.steady_s += run.steady_segments.back();
+  }
   run.out = harvest(trial, runner, std::move(result), joined,
                                looping);
   if (layers == nullptr) return run;

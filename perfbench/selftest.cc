@@ -1,8 +1,8 @@
 // Self-test of the benchmark's output checks: each check must reject a
 // deliberately corrupted result, the digest must see a one-latency
-// difference, and the window-start timestamp probe must leave every output
-// unchanged. Runs one paper_churn trial (testbed_a, DiGS) twice; exits 0
-// when every case behaves.
+// difference, and the timestamp probes must leave every output unchanged.
+// Runs one paper_churn trial (testbed_a, DiGS) twice; exits 0 when every
+// case behaves.
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -55,7 +55,7 @@ int main() {
   const TrialOutput probed = perfbench::run_trial(trial, true, nullptr).out;
   const TrialOutput plain = perfbench::run_trial(trial, false, nullptr).out;
   expect(perfbench::digest(probed) == perfbench::digest(plain),
-         "window-start probe leaves every output unchanged");
+         "timestamp probes leave every output unchanged");
 
   const CheckReport clean = perfbench::check_trial(probed);
   for (const std::string& e : clean.errors) std::printf("  %s\n", e.c_str());

@@ -17,16 +17,18 @@ constexpr ProtocolSuite kSuites[] = {ProtocolSuite::kDigs,
                                      ProtocolSuite::kOrchestra,
                                      ProtocolSuite::kWirelessHart};
 
-// The city configuration of the repository's scaling sweep (ext_scaling):
-// DiGS, 16 flows at 5 s, 300 s of formation, a 120 s window.
+// The city configuration of the repository's scaling sweep (ext_scaling),
+// DiGS with 16 flows at 5 s, cut to 150 s of formation and a 60 s window
+// (the sweep runs 300 s and 120 s) so that a run repeats the trial often
+// enough for each segment's fastest round to settle.
 ExperimentConfig city_config(std::uint64_t seed) {
   ExperimentConfig config;
   config.suite = ProtocolSuite::kDigs;
   config.seed = seed;
   config.num_flows = 16;
   config.flow_period = seconds(std::int64_t{5});
-  config.warmup = seconds(std::int64_t{300});
-  config.duration = seconds(std::int64_t{120});
+  config.warmup = seconds(std::int64_t{150});
+  config.duration = seconds(std::int64_t{60});
   config.stat_drain = seconds(std::int64_t{10});
   config.num_jammers = 0;
   config.shards = 1;
@@ -34,14 +36,11 @@ ExperimentConfig city_config(std::uint64_t seed) {
   return config;
 }
 
-Trial city_trial(std::uint64_t seed, std::size_t shards) {
+Trial city_trial(std::uint64_t seed) {
   Trial trial;
   trial.layout = digs::bench::city_floor(kCityDevices, kCityLayoutSeed);
   trial.config = city_config(seed);
-  trial.config.shards = shards;
-  trial.config.shard_threads =
-      std::min<std::size_t>(shards, digs::bench::hardware_threads());
-  trial.label = trial.layout.name + "/shards" + std::to_string(shards);
+  trial.label = trial.layout.name + "/shards1";
   return trial;
 }
 
@@ -99,8 +98,7 @@ Trial churn_trial(const digs::TestbedLayout& layout, ProtocolSuite suite,
 }  // namespace
 
 std::optional<Workload> parse_workload(std::string_view name) {
-  for (const Workload w : {Workload::kCitySerial, Workload::kCitySharded,
-                           Workload::kPaperChurn}) {
+  for (const Workload w : {Workload::kCitySerial, Workload::kPaperChurn}) {
     if (name == workload_name(w)) return w;
   }
   return std::nullopt;
@@ -109,7 +107,6 @@ std::optional<Workload> parse_workload(std::string_view name) {
 const char* workload_name(Workload workload) {
   switch (workload) {
     case Workload::kCitySerial: return "city_serial";
-    case Workload::kCitySharded: return "city_sharded";
     case Workload::kPaperChurn: return "paper_churn";
   }
   return "?";
@@ -119,10 +116,7 @@ std::vector<Trial> make_round(Workload workload, std::uint64_t seed) {
   std::vector<Trial> round;
   switch (workload) {
     case Workload::kCitySerial:
-      round.push_back(city_trial(seed, 1));
-      break;
-    case Workload::kCitySharded:
-      round.push_back(city_trial(seed, 4));
+      round.push_back(city_trial(seed));
       break;
     case Workload::kPaperChurn: {
       const digs::TestbedLayout layouts[] = {digs::testbed_a(),
@@ -144,6 +138,15 @@ std::vector<Trial> make_round(Workload workload, std::uint64_t seed) {
     }
   }
   return round;
+}
+
+Trial sharded_copy(const Trial& trial, std::size_t shards) {
+  Trial copy = trial;
+  copy.config.shards = shards;
+  copy.config.shard_threads =
+      std::min<std::size_t>(shards, digs::bench::hardware_threads());
+  copy.label = trial.layout.name + "/shards" + std::to_string(shards);
+  return copy;
 }
 
 }  // namespace perfbench

@@ -13,7 +13,7 @@
 
 namespace perfbench {
 
-enum class Workload { kCitySerial, kCitySharded, kPaperChurn };
+enum class Workload { kCitySerial, kPaperChurn };
 
 [[nodiscard]] std::optional<Workload> parse_workload(std::string_view name);
 [[nodiscard]] const char* workload_name(Workload workload);
@@ -39,7 +39,11 @@ struct Trial {
 [[nodiscard]] std::vector<Trial> make_round(Workload workload,
                                             std::uint64_t seed);
 
-/// The city floor both city workloads simulate: bench::city_floor(2000, 5).
+/// `trial` run through the sharded slot pipeline: `shards` shards on at most
+/// nproc worker threads. Its outputs must equal the serial trial's.
+[[nodiscard]] Trial sharded_copy(const Trial& trial, std::size_t shards);
+
+/// The city floor city_serial simulates: bench::city_floor(2000, 5).
 inline constexpr int kCityDevices = 2000;
 inline constexpr std::uint64_t kCityLayoutSeed = 5;
 
