@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator:
 // event queue, PRR lookup, schedule resolution, medium SINR evaluation,
-// and the centralized graph-route computation.
+// the medium's world build, and the centralized graph-route computation.
 //
 // The binary has a custom main: after the google-benchmark suite it times
 // the 150-node idle-heavy scenario under both slot drivers (schedule-driven
@@ -136,6 +136,23 @@ void BM_MediumReceptionProbability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MediumReceptionProbability);
+
+// World build of the medium as a Network constructs it: Medium plus
+// build_reachability() at the layout's power. Arg 0 is Cooja-150 (flat
+// mean table), arg 1 the 2,000-device city floor (compact CSR rows).
+void BM_MediumBuild(benchmark::State& state) {
+  const TestbedLayout layout =
+      state.range(0) == 0 ? cooja_150() : bench::city_floor(2000, 5);
+  MediumConfig config = ExperimentRunner::default_medium_config();
+  config.propagation.path_loss_exponent = layout.path_loss_exponent;
+  for (auto _ : state) {
+    Medium medium(config, layout.positions, 7);
+    medium.build_reachability(layout.tx_power_dbm);
+    benchmark::DoNotOptimize(medium.maybe_reachable(NodeId{0}, NodeId{1}));
+  }
+  state.SetLabel(layout.name);
+}
+BENCHMARK(BM_MediumBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_CentralGraphRoutes(benchmark::State& state) {
   const TestbedLayout layout =

@@ -24,6 +24,11 @@ constexpr std::size_t kMinParallelListeners = 4;
 /// bodies are bit-identical, so the decision can vary slot by slot.
 constexpr std::size_t kMinParallelSlotNodes = 8;
 
+/// Key of a tunneled packet in Network::first_tunnel_.
+std::uint64_t tunnel_packet_key(FlowId flow, std::uint32_t seq) {
+  return (std::uint64_t{flow.value} << 32) | seq;
+}
+
 std::size_t resolve_shards(std::size_t configured) {
   std::size_t shards = configured;
   if (shards == 0) {
@@ -374,7 +379,10 @@ void Network::apply_delivered(FlowId flow, std::uint32_t seq, SimTime at,
   // replication win: the primary copy lost the race (or the path).
   const bool first = !stats_.was_delivered(flow, seq);
   stats_.on_delivered(flow, seq, at);
-  if (first && tunnel == 2) ++replication_wins_;
+  if (first && tunnel != 0) {
+    first_tunnel_[tunnel_packet_key(flow, seq)] = tunnel;
+    if (tunnel == 2) ++replication_wins_;
+  }
 }
 
 void Network::apply_dropped(FlowId flow, std::uint32_t seq, SimTime at,
@@ -382,9 +390,17 @@ void Network::apply_dropped(FlowId flow, std::uint32_t seq, SimTime at,
                             bool at_final_dst) {
   if (reason == DropReason::kDuplicate && tunnel != 0) {
     ++duplicates_suppressed_;
-    // Suppressed at the egress itself: the other copy already delivered,
-    // so this one was pure redundancy (the replication-loss counter).
-    if (at_final_dst) ++replication_losses_;
+    // Suppressed at the egress itself. Only a copy that rode the other
+    // tunnel than the first delivery was pure redundancy (the
+    // replication-loss counter, once per packet); a same-tunnel duplicate
+    // is the MAC's ARQ resend after a lost ACK.
+    if (at_final_dst) {
+      const auto it = first_tunnel_.find(tunnel_packet_key(flow, seq));
+      if (it != first_tunnel_.end() && it->second != tunnel) {
+        ++replication_losses_;
+        first_tunnel_.erase(it);
+      }
+    }
   }
   stats_.on_dropped(flow, seq, at, reason);
 }

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -179,8 +180,9 @@ class Network {
   [[nodiscard]] std::uint64_t replication_wins() const {
     return replication_wins_;
   }
-  /// Redundant copies that reached the egress destination after the other
-  /// copy had already delivered (the replication cost nothing but airtime).
+  /// Packets whose redundant copy reached the egress destination after the
+  /// copy on the other tunnel had already delivered (the replication cost
+  /// nothing but airtime). MAC ARQ duplicates of one copy do not count.
   [[nodiscard]] std::uint64_t replication_losses() const {
     return replication_losses_;
   }
@@ -526,6 +528,10 @@ class Network {
   std::uint64_t replication_wins_{0};
   std::uint64_t replication_losses_{0};
   std::uint64_t duplicates_suppressed_{0};
+  // Tunnel (1 primary, 2 backup) whose copy delivered each tunneled
+  // (flow, seq) first. An entry is dropped once its replication loss is
+  // counted, so later ARQ duplicates of that copy are not counted again.
+  std::unordered_map<std::uint64_t, std::uint8_t> first_tunnel_;
   std::uint64_t single_path_fallbacks_{0};
   std::vector<ReviveRecord> revivals_;
   // Per node: index into revivals_ of its open record (-1 = none). Cleared

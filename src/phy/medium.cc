@@ -11,10 +11,9 @@ Medium::Medium(const MediumConfig& config, std::vector<Position> positions,
                std::uint64_t seed)
     : config_(config),
       positions_(std::move(positions)),
-      // Compact mode (n above the flat-table cap) skips the Propagation
-      // memoization caches too: the dense link-key table alone is O(N²) and
-      // the pair/channel mean cache is far larger. The CSR rows built by
-      // build_reachability() take over both roles for the hot path.
+      // Compact mode (n above the flat-table cap) skips Propagation's dense
+      // O(N²) link-key table too; the CSR rows built by build_reachability()
+      // carry the keys for the hot path.
       propagation_(config.propagation, seed,
                    positions_.size() <= config.flat_table_max_nodes
                        ? positions_.size()
@@ -131,6 +130,11 @@ double Medium::rss_dbm(NodeId tx, NodeId rx, PhysicalChannel channel,
 
 double Medium::mean_rss_dbm(NodeId tx, NodeId rx, PhysicalChannel channel,
                             double tx_power_dbm) const {
+  // Flat mode serves the primed power from the mean table (the exact
+  // doubles Propagation computes). Its self-pair slot holds a -1e9
+  // placeholder, so the self pair is computed, as is any other power.
+  const double* row = mean_row(rx, channel, tx_power_dbm);
+  if (row != nullptr && tx != rx) return row[tx.value];
   return propagation_.mean_rss_dbm(tx_power_dbm, tx, rx, positions_[tx.value],
                                    positions_[rx.value], channel);
 }
@@ -312,6 +316,15 @@ void Medium::build_reachability(double tx_power_dbm) {
   // static frequency-selective offsets, so each must be checked.
   const double margin_db = propagation_.max_fading_db();
   const double floor_dbm = config_.sensitivity_dbm - margin_db;
+  // Static components are symmetric, so each unordered link is evaluated
+  // once, for every channel, and stored in both directions.
+  double means[kNumChannels];
+  const auto evaluate = [&](std::uint16_t a, std::uint16_t b) {
+    propagation_.mean_rss_all_channels(tx_power_dbm, NodeId{a}, NodeId{b},
+                                       positions_[a], positions_[b], means);
+    return std::any_of(means, means + kNumChannels,
+                       [floor_dbm](double m) { return m >= floor_dbm; });
+  };
   if (n <= config_.flat_table_max_nodes) {
     // Flat mode: the historical O(N²) sweep fills the dense per-(rx,
     // channel) mean table used by the rss_dbm() fast path. Means are
@@ -325,16 +338,11 @@ void Medium::build_reachability(double tx_power_dbm) {
     mean_table_.assign(n * kNumChannels * n, -1e9);
     for (std::uint16_t a = 0; a < n; ++a) {
       for (std::uint16_t b = a + 1; b < n; ++b) {
-        bool candidate = false;
+        const bool candidate = evaluate(a, b);
         for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
-          const double mean =
-              mean_rss_dbm(NodeId{a}, NodeId{b}, ch, tx_power_dbm);
-          // Static components are symmetric: both directions share the mean.
-          mean_table_[(a * kNumChannels + ch) * n + b] = mean;
-          mean_table_[(b * kNumChannels + ch) * n + a] = mean;
-          if (mean >= floor_dbm) candidate = true;
+          mean_table_[(a * kNumChannels + ch) * n + b] = means[ch];
+          mean_table_[(b * kNumChannels + ch) * n + a] = means[ch];
         }
-        // Links are symmetric in all static components.
         if (candidate && grid_.coupled(a, b)) {
           set_reachable(a, b);
           set_reachable(b, a);
@@ -343,40 +351,55 @@ void Medium::build_reachability(double tx_power_dbm) {
     }
     return;
   }
-  // Compact mode: per-listener CSR rows over the grid neighborhood. Each
-  // row's means are the exact doubles mean_rss_dbm() returns (static
-  // components are symmetric, so direction does not matter), laid out
-  // channel-major so a listener's co-channel walk is contiguous. The self
-  // pair is excluded — every reception path skips it before any lookup.
+  // Compact mode: per-listener CSR rows over the grid neighborhood, laid
+  // out channel-major so a listener's co-channel walk is contiguous. The
+  // self pair is excluded — every reception path skips it before any
+  // lookup. Pass 1 sizes each row from its neighborhood, so the arrays are
+  // allocated once at their exact size. Pass 2 visits rx ascending and
+  // evaluates only the pairs with col > rx, writing each into row rx and
+  // row col. Neighborhoods are symmetric, and a row's lower entries arrive
+  // in ascending rx order before its own upper ones, so a per-row fill
+  // cursor keeps every row ascending.
   mean_table_.clear();
   csr_offsets_.assign(n + 1, 0);
-  csr_cols_.clear();
-  csr_keys_.clear();
-  csr_means_.clear();
   std::vector<std::uint16_t> hood;
+  for (std::size_t rx = 0; rx < n; ++rx) {
+    grid_.neighborhood(static_cast<std::uint16_t>(rx), hood);
+    csr_offsets_[rx + 1] = csr_offsets_[rx] + hood.size() - 1;
+  }
+  const std::size_t entries = csr_offsets_[n];
+  csr_cols_.assign(entries, 0);
+  csr_keys_.assign(entries, 0);
+  csr_means_.assign(entries * kNumChannels, 0.0);
+  std::vector<std::size_t> cursor(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  const auto put = [&](std::size_t row, std::uint16_t col,
+                       std::uint64_t key) {
+    const std::size_t o = csr_offsets_[row];
+    const std::size_t len = csr_offsets_[row + 1] - o;
+    const std::size_t i = cursor[row]++ - o;
+    csr_cols_[o + i] = col;
+    csr_keys_[o + i] = key;
+    double* entry = csr_means_.data() + o * kNumChannels + i;
+    for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+      entry[static_cast<std::size_t>(ch) * len] = means[ch];
+    }
+  };
   for (std::size_t rx = 0; rx < n; ++rx) {
     const auto rx_id = static_cast<std::uint16_t>(rx);
     grid_.neighborhood(rx_id, hood);
-    const std::size_t row_start = csr_cols_.size();
-    for (const std::uint16_t col : hood) {
-      if (col == rx_id) continue;
-      csr_cols_.push_back(col);
-      csr_keys_.push_back(propagation_.link_key(NodeId{rx_id}, NodeId{col}));
-    }
-    const std::size_t len = csr_cols_.size() - row_start;
-    csr_means_.resize(csr_means_.size() + len * kNumChannels);
-    double* row = csr_means_.data() + row_start * kNumChannels;
-    for (std::size_t i = 0; i < len; ++i) {
-      const NodeId tx{csr_cols_[row_start + i]};
-      bool candidate = false;
-      for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
-        const double mean = mean_rss_dbm(tx, NodeId{rx_id}, ch, tx_power_dbm);
-        row[static_cast<std::size_t>(ch) * len + i] = mean;
-        if (mean >= floor_dbm) candidate = true;
+    for (auto it = std::upper_bound(hood.begin(), hood.end(), rx_id);
+         it != hood.end(); ++it) {
+      const std::uint16_t col = *it;
+      const bool candidate = evaluate(rx_id, col);
+      const std::uint64_t key =
+          propagation_.link_key(NodeId{rx_id}, NodeId{col});
+      put(rx, col, key);
+      put(col, rx_id, key);
+      if (candidate) {
+        set_reachable(rx, col);
+        set_reachable(col, rx);
       }
-      if (candidate) set_reachable(tx.value, rx);
     }
-    csr_offsets_[rx + 1] = csr_cols_.size();
   }
 }
 

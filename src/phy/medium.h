@@ -12,12 +12,16 @@
 // City-scale storage: build_reachability() partitions the deployment into
 // SpatialGrid cells sized by the provable decode radius. Deployments up to
 // flat_table_max_nodes keep the flat O(N²) mean table (the historical
-// bit-exact fast path); larger ones switch to per-cell sparse CSR rows that
-// hold only the 3×3-neighborhood pairs, and the Propagation memoization
-// caches (O(N²·channels)) are never allocated. Pairs outside a node's
-// neighborhood are uncoupled by model definition — no decode, no
-// interference — applied identically in this reference path and in the
-// per-slot SlotReception resolver, so the cutoff is shard-invariant.
+// bit-exact fast path, which also serves mean_rss_dbm() at the primed
+// power); larger ones switch to per-cell sparse CSR rows that hold only the
+// 3×3-neighborhood pairs, and Propagation's dense link-key table is never
+// allocated. Either way the build evaluates each unordered link once for
+// all channels (Propagation::mean_rss_all_channels) and stores it in both
+// directions; the CSR rows are sized in a first pass and filled in place.
+// Pairs outside a node's neighborhood are uncoupled by model definition —
+// no decode, no interference — applied identically in this reference path
+// and in the per-slot SlotReception resolver, so the cutoff is
+// shard-invariant.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +51,9 @@ struct MediumConfig {
   double noise_floor_dbm = -95.0;
   /// CC2420 receiver sensitivity (dBm): frames below this are never decoded.
   double sensitivity_dbm = -94.0;
-  /// Largest node count for which the flat O(N²) mean-RSS table and the
-  /// Propagation memoization caches are built. Above it the Medium runs in
-  /// compact mode: sparse per-cell CSR rows, no dense caches. The default
+  /// Largest node count for which the flat O(N²) mean-RSS table and
+  /// Propagation's dense link-key table are built. Above it the Medium runs
+  /// in compact mode: sparse per-cell CSR rows, no dense tables. The default
   /// keeps every paper-scale layout on the historical flat path; tests
   /// force compact mode with 0 to pin sparse == flat bit-for-bit.
   std::size_t flat_table_max_nodes = 600;
@@ -130,6 +134,7 @@ class Medium {
                                double tx_power_dbm = 0.0) const;
 
   /// Static expected RSS (no temporal fading), for tests and topology tools.
+  /// At the primed power in flat mode it is read from the mean table.
   [[nodiscard]] double mean_rss_dbm(NodeId tx, NodeId rx,
                                     PhysicalChannel channel,
                                     double tx_power_dbm = 0.0) const;
@@ -349,15 +354,16 @@ class Medium {
   // Flat mean-RSS table at the reachability index's TX power, indexed
   // [(rx * kNumChannels + channel) * N + tx]: for a fixed listener and
   // channel the per-transmitter means are contiguous, so the per-slot
-  // interference walk touches one short row instead of hashing into the
-  // triangular propagation cache per pair. Values are the exact doubles
-  // mean_rss_dbm() returns. Empty until build_reachability(), and never
-  // built in compact mode (the CSR rows below replace it).
+  // interference walk touches one short row instead of recomputing the
+  // propagation model per pair. Values are the exact doubles
+  // Propagation::mean_rss_dbm() returns. Empty until build_reachability(),
+  // and never built in compact mode (the CSR rows below replace it).
   std::vector<double> mean_table_;
   // Compact mode's CSR rows over grid neighborhoods: row rx covers every
   // transmitter in rx's 3×3 cell block. csr_means_ is channel-major per row
   // (offset*kNumChannels + ch*len + i), so a listener's co-channel walk is
-  // contiguous. Empty in flat mode.
+  // contiguous. Sized exactly by build_reachability()'s first pass. Empty in
+  // flat mode.
   std::vector<std::size_t> csr_offsets_;   // [n + 1]
   std::vector<std::uint16_t> csr_cols_;    // ascending tx ids per row
   std::vector<std::uint64_t> csr_keys_;    // link keys per entry

@@ -5,17 +5,14 @@
 
 namespace digs {
 
-double Propagation::mean_rss_dbm(double tx_power_dbm, NodeId a, NodeId b,
+namespace {
+constexpr std::uint64_t kShadowTag = 0x5AAD;
+constexpr std::uint64_t kChannelTag = 0xC0FF;
+}  // namespace
+
+double Propagation::base_rss_dbm(double tx_power_dbm, std::uint64_t key,
                                  const Position& tx_pos,
-                                 const Position& rx_pos,
-                                 PhysicalChannel channel) const {
-  MeanEntry* entry = nullptr;
-  if (cacheable(a, b, channel)) {
-    entry = &mean_cache_[cache_index(a, b, channel)];
-    for (int i = 0; i < entry->count; ++i) {
-      if (entry->power[i] == tx_power_dbm) return entry->mean[i];
-    }
-  }
+                                 const Position& rx_pos) const {
   const double d =
       std::max(distance(tx_pos, rx_pos), config_.reference_distance_m);
   const double path_loss =
@@ -25,24 +22,38 @@ double Propagation::mean_rss_dbm(double tx_power_dbm, NodeId a, NodeId b,
   const double floors =
       floors_crossed(tx_pos, rx_pos, config_.floor_height_m) *
       config_.floor_penetration_db;
-
-  const std::uint64_t key = link_key(a, b);
-  constexpr std::uint64_t kShadowTag = 0x5AAD;
-  constexpr std::uint64_t kChannelTag = 0xC0FF;
   const double shadowing =
       hashed_normal(hash_mix(key, kShadowTag)) * config_.shadowing_sigma_db;
-  const double channel_offset =
-      hashed_normal(hash_mix(key, kChannelTag, channel)) *
-      config_.channel_offset_sigma_db;
+  return tx_power_dbm - path_loss - floors + shadowing;
+}
 
-  const double mean =
-      tx_power_dbm - path_loss - floors + shadowing + channel_offset;
-  if (entry != nullptr && entry->count < 2) {
-    entry->power[entry->count] = tx_power_dbm;
-    entry->mean[entry->count] = mean;
-    ++entry->count;
+double Propagation::channel_offset_db(std::uint64_t key,
+                                      PhysicalChannel channel) const {
+  return hashed_normal(hash_mix(key, kChannelTag, channel)) *
+         config_.channel_offset_sigma_db;
+}
+
+// The sum is left-associative, so base + offset is the same double as the
+// one-expression tx_power - path_loss - floors + shadowing + offset (the
+// baseline x86-64 target has no FMA to contract it differently).
+double Propagation::mean_rss_dbm(double tx_power_dbm, NodeId a, NodeId b,
+                                 const Position& tx_pos,
+                                 const Position& rx_pos,
+                                 PhysicalChannel channel) const {
+  const std::uint64_t key = link_key(a, b);
+  return base_rss_dbm(tx_power_dbm, key, tx_pos, rx_pos) +
+         channel_offset_db(key, channel);
+}
+
+void Propagation::mean_rss_all_channels(double tx_power_dbm, NodeId a,
+                                        NodeId b, const Position& tx_pos,
+                                        const Position& rx_pos,
+                                        double out[kNumChannels]) const {
+  const std::uint64_t key = link_key(a, b);
+  const double base = base_rss_dbm(tx_power_dbm, key, tx_pos, rx_pos);
+  for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+    out[ch] = base + channel_offset_db(key, ch);
   }
-  return mean;
 }
 
 double Propagation::fading_db(NodeId a, NodeId b, PhysicalChannel channel,

@@ -8,13 +8,15 @@
 // too (same coherence block draw both directions), which matches the
 // reciprocity of narrowband channels on the timescale of a slot.
 //
-// Because every component is a pure function of its inputs and node
-// positions never move, the static per-(link, channel, power) mean is
-// memoized (the cache returns the exact double computed on first evaluation,
-// so memoization cannot change any result bit). The temporal fading draw is
-// recomputed statelessly per call: it is one table load, one hash, and an
-// inverse-CDF normal — cheaper than the multi-MB cache probe a per-(link,
-// channel) block memo costs at realistic revisit cadences.
+// The static per-(link, channel) mean is one channel-invariant base (TX
+// power, path loss, floors, per-link shadowing) plus a per-channel offset;
+// mean_rss_all_channels() evaluates the base once and all kNumChannels
+// means from it, which is how Medium builds its tables with one evaluation
+// per unordered link. Nothing is memoized here: after the build, the primed
+// power's means are served from Medium's tables. The temporal fading draw
+// is recomputed statelessly per call: it is one table load, one hash, and
+// an inverse-CDF normal — cheaper than the multi-MB cache probe a
+// per-(link, channel) block memo costs at realistic revisit cadences.
 #pragma once
 
 #include <algorithm>
@@ -72,14 +74,12 @@ inline constexpr double kFadingNormalBound = 6.0;
 /// Computes received signal strength for a (tx, rx, channel, slot) tuple.
 class Propagation {
  public:
-  /// `num_nodes` enables the memoization caches (ids are dense 0..n-1 and
-  /// positions are static); 0 disables caching.
+  /// `num_nodes` enables the dense link-key table (ids are dense 0..n-1);
+  /// 0 disables it.
   Propagation(const PropagationConfig& config, std::uint64_t seed,
               std::size_t num_nodes = 0)
       : config_(config), seed_(seed), num_nodes_(num_nodes) {
     if (num_nodes_ > 0) {
-      const std::size_t pairs = num_nodes_ * (num_nodes_ + 1) / 2;
-      mean_cache_.resize(pairs * kNumChannels);
       // Dense link-key table: the busy-slot path evaluates fading for every
       // (listener, transmitter) pair each slot, so the per-call hash chain
       // of link_key() is replaced by one small-table load (the keys are the
@@ -104,7 +104,7 @@ class Propagation {
   /// The temporal-fading component alone (dB) for (link, channel, slot):
   /// the exact value rss_dbm() adds on top of mean_rss_dbm(). Exposed so
   /// callers holding a precomputed mean (Medium's flat mean table) can
-  /// reconstruct rss_dbm() = mean + fading without the mean-cache probe.
+  /// reconstruct rss_dbm() = mean + fading without recomputing the mean.
   [[nodiscard]] double fading_db(NodeId a, NodeId b, PhysicalChannel channel,
                                  std::uint64_t slot) const;
 
@@ -164,6 +164,15 @@ class Propagation {
                                     const Position& rx_pos,
                                     PhysicalChannel channel) const;
 
+  /// mean_rss_dbm() on every channel at once: `out[ch]` is exactly the
+  /// double mean_rss_dbm(..., ch) returns. The channel-invariant terms
+  /// (distance, path loss, floors, shadowing) are evaluated once; each
+  /// channel adds only its offset draw to that base. Links are symmetric,
+  /// so swapping the endpoints (ids and positions) gives the same doubles.
+  void mean_rss_all_channels(double tx_power_dbm, NodeId a, NodeId b,
+                             const Position& tx_pos, const Position& rx_pos,
+                             double out[kNumChannels]) const;
+
   [[nodiscard]] const PropagationConfig& config() const { return config_; }
 
   /// Largest fading excursion any rss_dbm() call can add on top of
@@ -185,38 +194,20 @@ class Propagation {
   }
 
  private:
-
-  /// True when (a, b, channel) falls inside the flat caches.
-  [[nodiscard]] bool cacheable(NodeId a, NodeId b,
-                               PhysicalChannel channel) const {
-    return a.value < num_nodes_ && b.value < num_nodes_ &&
-           channel < kNumChannels;
-  }
-
-  /// Flat index of the unordered pair (a, b) and channel: links are
-  /// symmetric, so the pair space is triangular (lo <= hi).
-  [[nodiscard]] std::size_t cache_index(NodeId a, NodeId b,
-                                        PhysicalChannel channel) const {
-    const std::size_t lo = std::min(a.value, b.value);
-    const std::size_t hi = std::max(a.value, b.value);
-    const std::size_t pair = lo * num_nodes_ - lo * (lo - 1) / 2 + (hi - lo);
-    return pair * kNumChannels + channel;
-  }
+  /// TX power minus path loss and floors plus shadowing: the channel-
+  /// invariant part of the static mean, in mean_rss_dbm()'s evaluation
+  /// order, so adding channel_offset_db() reproduces its exact double.
+  [[nodiscard]] double base_rss_dbm(double tx_power_dbm, std::uint64_t key,
+                                    const Position& tx_pos,
+                                    const Position& rx_pos) const;
+  /// Static frequency-selective offset of link `key` on `channel` (dB).
+  [[nodiscard]] double channel_offset_db(std::uint64_t key,
+                                         PhysicalChannel channel) const;
 
   PropagationConfig config_;
   std::uint64_t seed_;
   std::size_t num_nodes_{0};
 
-  // Static means per (link, channel); a link is only ever evaluated at a
-  // couple of distinct tx powers (the network-wide power and the 0 dBm
-  // default used by tools), so two inline slots suffice — anything beyond
-  // is computed uncached.
-  struct MeanEntry {
-    int count{0};
-    double power[2];
-    double mean[2];
-  };
-  mutable std::vector<MeanEntry> mean_cache_;
   // Precomputed link_key(a, b) for dense ids, indexed [a * N + b].
   std::vector<std::uint64_t> link_keys_;
 };

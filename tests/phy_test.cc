@@ -2,7 +2,10 @@
 // jammers, and the medium.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -116,6 +119,42 @@ TEST(PropagationTest, ChannelOffsetsDifferAcrossChannels) {
     }
   }
   EXPECT_TRUE(any_diff);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The all-channel evaluation must reproduce the per-channel model bit for
+// bit: the medium builds every table from it, and the flat/compact tables
+// are pinned equal to mean_rss_dbm() elsewhere. Multi-floor endpoints keep
+// the floors term non-zero; both endpoint orders and two powers are checked.
+TEST(PropagationTest, AllChannelsMatchPerChannelMeanExactly) {
+  Propagation prop(PropagationConfig{}, 0xA11C);
+  const Position positions[] = {{0, 0, 0},       {17.3, 4.1, 0},
+                                {3.2, 9.9, 4.5}, {40.7, 22.6, 9.0},
+                                {0.4, 0.2, 0.3}, {8.8, 31.5, 13.1}};
+  constexpr std::size_t kCount = std::size(positions);
+  std::size_t multi_floor = 0;
+  for (const double power : {0.0, -3.7}) {
+    for (std::uint16_t a = 0; a < kCount; ++a) {
+      for (std::uint16_t b = 0; b < kCount; ++b) {
+        if (a == b) continue;
+        if (floors_crossed(positions[a], positions[b]) > 0) ++multi_floor;
+        double all[kNumChannels];
+        prop.mean_rss_all_channels(power, NodeId{a}, NodeId{b}, positions[a],
+                                   positions[b], all);
+        for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+          EXPECT_TRUE(same_bits(
+              all[ch], prop.mean_rss_dbm(power, NodeId{a}, NodeId{b},
+                                         positions[a], positions[b], ch)))
+              << a << "->" << b << " ch " << static_cast<int>(ch)
+              << " power " << power;
+        }
+      }
+    }
+  }
+  EXPECT_GT(multi_floor, 0u);
 }
 
 TEST(PropagationTest, TemporalFadingChangesAcrossCoherenceBlocks) {
@@ -432,6 +471,112 @@ TEST(MediumTest, TryReceiveDeterministicWithSameRng) {
     EXPECT_EQ(
         medium.try_receive(tx, NodeId{1}, slot, SimTime{0}, {}, rng_a),
         medium.try_receive(tx, NodeId{1}, slot, SimTime{0}, {}, rng_b));
+  }
+}
+
+// Compact (CSR) storage on a grid-active layout: rows are partial
+// neighborhoods, so the build's per-row fill cursor is exercised. Every
+// row must hold exactly the neighborhood minus self, with the model's key
+// and all sixteen means bit-exact, and the reachability bits must follow
+// the per-pair definition in both directions.
+TEST(MediumTest, CompactRowsMatchNeighborhoodAndModel) {
+  MediumConfig config;
+  config.propagation.path_loss_exponent = 3.8;
+  config.grid_cell_size_m = 50.0;
+  config.flat_table_max_nodes = 0;
+  Rng pos_rng(0x5EED);
+  std::vector<Position> positions;
+  for (std::size_t i = 0; i < 64; ++i) {
+    positions.push_back(Position{pos_rng.uniform(0.0, 230.0),
+                                 pos_rng.uniform(0.0, 230.0),
+                                 4.5 * static_cast<double>(i % 3)});
+  }
+  Medium medium(config, positions, 0xC5A1);
+  const double power = -2.0;
+  medium.build_reachability(power);
+  ASSERT_TRUE(medium.grid().active());
+  ASSERT_GE(medium.grid().cols(), 4u);
+  ASSERT_GE(medium.grid().rows(), 4u);
+  const std::size_t n = medium.num_nodes();
+  ASSERT_EQ(medium.mean_row(NodeId{0}, 0, power), nullptr);
+
+  const Propagation& prop = medium.propagation();
+  const double floor_dbm = config.sensitivity_dbm - prop.max_fading_db();
+  std::vector<std::uint16_t> hood;
+  std::size_t partial_rows = 0;
+  for (std::uint16_t rx = 0; rx < n; ++rx) {
+    medium.grid().neighborhood(rx, hood);
+    hood.erase(std::find(hood.begin(), hood.end(), rx));
+    const Medium::SparseRow row = medium.sparse_row(NodeId{rx}, power);
+    ASSERT_EQ(row.len, hood.size()) << "row " << rx;
+    if (row.len < n - 1) ++partial_rows;
+    for (std::uint32_t i = 0; i < row.len; ++i) {
+      const std::uint16_t tx = row.cols[i];
+      ASSERT_EQ(tx, hood[i]) << "row " << rx << " entry " << i;
+      EXPECT_EQ(row.keys[i], prop.link_key(NodeId{tx}, NodeId{rx}));
+      for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+        EXPECT_TRUE(same_bits(
+            row.means[static_cast<std::size_t>(ch) * row.len + i],
+            prop.mean_rss_dbm(power, NodeId{tx}, NodeId{rx}, positions[tx],
+                              positions[rx], ch)))
+            << tx << "->" << rx << " ch " << static_cast<int>(ch);
+      }
+    }
+  }
+  EXPECT_GT(partial_rows, 0u);
+
+  std::size_t reachable = 0;
+  for (std::uint16_t a = 0; a < n; ++a) {
+    for (std::uint16_t b = 0; b < n; ++b) {
+      if (a == b) continue;
+      bool expected = false;
+      if (medium.coupled(NodeId{a}, NodeId{b})) {
+        for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+          if (prop.mean_rss_dbm(power, NodeId{a}, NodeId{b}, positions[a],
+                                positions[b], ch) >= floor_dbm) {
+            expected = true;
+          }
+        }
+      }
+      EXPECT_EQ(medium.maybe_reachable(NodeId{a}, NodeId{b}), expected)
+          << a << "->" << b;
+      if (expected) ++reachable;
+    }
+  }
+  EXPECT_GT(reachable, 0u);
+}
+
+// Flat mode serves primed-power mean queries from its table; they must be
+// the model's exact doubles, as must the self pair (whose table slot is a
+// placeholder) and queries at any other power.
+TEST(MediumTest, FlatMeanQueriesMatchModel) {
+  MediumConfig config;
+  config.propagation.path_loss_exponent = 3.5;
+  Rng pos_rng(0xF1A7);
+  std::vector<Position> positions;
+  for (std::size_t i = 0; i < 24; ++i) {
+    positions.push_back(Position{pos_rng.uniform(0.0, 60.0),
+                                 pos_rng.uniform(0.0, 25.0),
+                                 4.5 * static_cast<double>(i % 2)});
+  }
+  Medium medium(config, positions, 0xF1A7);
+  const double power = -3.0;
+  medium.build_reachability(power);
+  ASSERT_NE(medium.mean_row(NodeId{0}, 0, power), nullptr);
+  const Propagation& prop = medium.propagation();
+  for (std::uint16_t tx = 0; tx < positions.size(); ++tx) {
+    for (std::uint16_t rx = 0; rx < positions.size(); ++rx) {
+      for (PhysicalChannel ch = 0; ch < kNumChannels; ++ch) {
+        for (const double p : {power, 0.0}) {
+          EXPECT_TRUE(same_bits(
+              medium.mean_rss_dbm(NodeId{tx}, NodeId{rx}, ch, p),
+              prop.mean_rss_dbm(p, NodeId{tx}, NodeId{rx}, positions[tx],
+                                positions[rx], ch)))
+              << tx << "->" << rx << " ch " << static_cast<int>(ch)
+              << " power " << p;
+        }
+      }
+    }
   }
 }
 

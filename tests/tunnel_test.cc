@@ -457,5 +457,30 @@ TEST(TunnelEndToEndTest, ReplicationOffSendsSinglePrimaryCopy) {
   EXPECT_EQ(net.replication_losses(), 0u);
 }
 
+// With replication off only the primary copy exists, so nothing can be a
+// replication loss. Under interference ACKs get lost and the MAC resends
+// frames the egress already has: those ARQ duplicates are suppressed by
+// the duplicate filter but must not be counted as replication losses.
+TEST(TunnelEndToEndTest, ArqDuplicatesAreNotReplicationLosses) {
+  ExperimentConfig config;
+  config.suite = ProtocolSuite::kDigs;
+  config.seed = 102;
+  config.num_flows = 6;
+  config.flow_period = seconds(static_cast<std::int64_t>(5));
+  config.warmup = seconds(static_cast<std::int64_t>(120));
+  config.duration = seconds(static_cast<std::int64_t>(240));
+  config.num_jammers = 3;
+  config.enable_tunnels = true;
+  config.tunnel_replication = false;
+  config.control_loops = 2;
+  config.control_period = seconds(static_cast<std::int64_t>(2));
+  config.control_deadline = seconds(static_cast<std::int64_t>(5));
+  ExperimentRunner runner(testbed_a(), config);
+  const ExperimentResult result = runner.run();
+  EXPECT_GT(result.duplicates_suppressed, 0u);
+  EXPECT_EQ(result.replication_wins, 0u);
+  EXPECT_EQ(result.replication_losses, 0u);
+}
+
 }  // namespace
 }  // namespace digs
